@@ -2,17 +2,19 @@
 //!
 //! These are not paper results; they keep the simulator's own fast paths
 //! honest (the snoop-path NIPT lookup runs once per bus write, the event
-//! queue once per simulated event).
+//! queue once per simulated event, the network pump after every mesh
+//! advance).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use shrimp_core::{msglib, Machine, MachineConfig, MapRequest};
 use shrimp_cpu::{Assembler, Cpu, FlatMemory, Reg};
-use shrimp_mem::{CacheConfig, CacheModel, PageNum, PhysAddr, Tlb, VirtPageNum};
+use shrimp_mem::{CacheConfig, CacheModel, PageNum, PhysAddr, Tlb, VirtPageNum, PAGE_SIZE};
 use shrimp_mesh::{MeshShape, NodeId};
 use shrimp_nic::packet::crc32;
 use shrimp_nic::{Nipt, OutSegment, PacketFifo, ShrimpPacket, UpdatePolicy, WireHeader};
-use shrimp_sim::{EventQueue, SimTime};
+use shrimp_sim::{step, EventQueue, SimTime, StepBound, StepOutcome};
 
 fn bench_crc32(c: &mut Criterion) {
     let page = vec![0xa5u8; 4096];
@@ -152,6 +154,61 @@ fn bench_cpu(c: &mut Criterion) {
     });
 }
 
+/// The network pump and mesh layers: a 32×32 machine carrying one
+/// deliberate-update stream from a corner to the opposite corner. Each
+/// iteration is one step of the run loop — advance the mesh to its next
+/// event, pump the nodes marked dirty, dispatch that instant's events —
+/// so the 1,020 idle nodes must cost nothing. The stream restarts
+/// whenever the machine idles.
+fn bench_pump(c: &mut Criterion) {
+    const PAGES: u64 = 4;
+    let (src, dst) = (NodeId(0), NodeId(1023));
+    let mut cfg = MachineConfig::prototype(MeshShape::new(32, 32));
+    cfg.pages_per_node = 32;
+    let mut m = Machine::new(cfg);
+    let s = m.create_process(src);
+    let r = m.create_process(dst);
+    let src_va = m.alloc_pages(src, s, PAGES).expect("alloc send");
+    let dst_va = m.alloc_pages(dst, r, PAGES).expect("alloc recv");
+    let export = m.export_buffer(dst, r, dst_va, PAGES, Some(src)).expect("export");
+    m.map(MapRequest {
+        src_node: src,
+        src_pid: s,
+        src_va,
+        dst_node: dst,
+        export,
+        dst_offset: 0,
+        len: PAGES * PAGE_SIZE,
+        policy: UpdatePolicy::Deliberate,
+    })
+    .expect("map");
+    let mut cmd_delta = 0u32;
+    for p in 0..PAGES {
+        let cmd = m.map_command_page(src, s, src_va.add(p * PAGE_SIZE)).expect("command page");
+        if p == 0 {
+            cmd_delta = (cmd.raw() - src_va.raw()) as u32;
+        }
+    }
+    let program = msglib::deliberate_stream_program();
+    let restart = |m: &mut Machine| {
+        m.load_program(src, s, program.clone());
+        m.set_reg(src, s, Reg::R5, src_va.raw() as u32);
+        m.set_reg(src, s, Reg::R7, cmd_delta);
+        m.set_reg(src, s, Reg::R3, PAGES as u32);
+        m.set_reg(src, s, Reg::R2, (PAGE_SIZE / 4) as u32);
+        m.set_reg(src, s, Reg::R4, (PAGE_SIZE / 4) as u32);
+        m.start(src, s);
+    };
+    restart(&mut m);
+    c.bench_function("pump/step_32x32_one_stream", |b| {
+        b.iter(|| {
+            if step(&mut m, StepBound::unbounded()) == StepOutcome::Idle {
+                restart(&mut m);
+            }
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_crc32,
@@ -161,6 +218,7 @@ criterion_group!(
     bench_mesh_route,
     bench_cache,
     bench_tlb,
-    bench_cpu
+    bench_cpu,
+    bench_pump
 );
 criterion_main!(benches);

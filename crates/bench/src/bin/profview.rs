@@ -133,6 +133,18 @@ fn main() {
         machine.config().workers,
     );
 
+    // Network pump work: deterministic, so comparable across hosts.
+    let pump = machine.pump_stats();
+    let events = report.events_processed.max(1) as f64;
+    let visits_per_event = pump.node_visits as f64 / events;
+    println!(
+        "network pump: {} pumps, {} node visits — {:.3} pumps_per_event, \
+         {visits_per_event:.3} node_visits_per_event\n",
+        pump.pumps,
+        pump.node_visits,
+        pump.pumps as f64 / events,
+    );
+
     // Why windows closed — the deterministic barrier-cause breakdown.
     let ws = machine.window_stats();
     let total = ws.total_closed().max(1);
@@ -179,6 +191,9 @@ fn main() {
             shrimp_sim::MetricValue::Histogram(_) => {}
         }
     }
+    reg.set_counter("engine.pump.pumps", pump.pumps);
+    reg.set_counter("engine.pump.node_visits", pump.node_visits);
+    reg.set_gauge("engine.pump.node_visits_per_event", visits_per_event);
     ws.register(&mut reg);
     profile.register(&mut reg);
     write_metrics("profview", &reg.snapshot());

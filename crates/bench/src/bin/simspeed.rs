@@ -41,6 +41,9 @@ struct Sample {
     /// Heap allocations during the measured region (0 unless the
     /// `alloc-stats` feature installed the counting allocator).
     allocs: u64,
+    /// Nodes the network pump visited during the measured region
+    /// (deterministic: a function of the simulated run alone).
+    node_visits: u64,
 }
 
 impl Sample {
@@ -51,11 +54,18 @@ impl Sample {
         self.sim_bytes as f64 / self.wall_seconds
     }
     fn allocs_per_event(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.allocs as f64 / self.events as f64
-        }
+        per_event(self.allocs, self.events)
+    }
+    fn node_visits_per_event(&self) -> f64 {
+        per_event(self.node_visits, self.events)
+    }
+}
+
+fn per_event(count: u64, events: u64) -> f64 {
+    if events == 0 {
+        0.0
+    } else {
+        count as f64 / events as f64
     }
 }
 
@@ -151,6 +161,7 @@ fn bandwidth_workload(bytes: u64) -> Sample {
     w.m.set_reg(NodeId(0), w.s, Reg::R4, (PAGE_SIZE / 4) as u32);
 
     let ev0 = w.m.events_processed();
+    let v0 = w.m.pump_stats().node_visits;
     let a0 = alloc_stats::allocations();
     let wall = Instant::now();
     w.m.start(NodeId(0), w.s);
@@ -165,6 +176,7 @@ fn bandwidth_workload(bytes: u64) -> Sample {
         events: w.m.events_processed() - ev0,
         sim_bytes: delivered,
         allocs,
+        node_visits: w.m.pump_stats().node_visits - v0,
     }
 }
 
@@ -179,6 +191,7 @@ fn blocked_write_workload(bytes: u64) -> Sample {
     let data: Vec<u8> = (0..bytes).map(|i| (i % 241) as u8).collect();
 
     let ev0 = w.m.events_processed();
+    let v0 = w.m.pump_stats().node_visits;
     let a0 = alloc_stats::allocations();
     let wall = Instant::now();
     w.m.poke(NodeId(0), w.s, w.data_va, &data).expect("stores");
@@ -193,6 +206,7 @@ fn blocked_write_workload(bytes: u64) -> Sample {
         events: w.m.events_processed() - ev0,
         sim_bytes: delivered,
         allocs,
+        node_visits: w.m.pump_stats().node_visits - v0,
     }
 }
 
@@ -224,6 +238,7 @@ fn latency_workload(rounds: u64) -> Sample {
     .expect("map");
 
     let ev0 = m.events_processed();
+    let v0 = m.pump_stats().node_visits;
     let a0 = alloc_stats::allocations();
     let wall = Instant::now();
     for i in 0..rounds {
@@ -242,6 +257,7 @@ fn latency_workload(rounds: u64) -> Sample {
         events: m.events_processed() - ev0,
         sim_bytes: delivered,
         allocs,
+        node_visits: m.pump_stats().node_visits - v0,
     }
 }
 
@@ -320,6 +336,7 @@ fn scaling_workload(dim: u16, workers: usize, pages: u64) -> (Sample, u64, u64, 
     }
 
     let ev0 = m.events_processed();
+    let v0 = m.pump_stats().node_visits;
     let a0 = alloc_stats::allocations();
     let wall = Instant::now();
     for (i, &pid) in pids.iter().enumerate() {
@@ -346,6 +363,7 @@ fn scaling_workload(dim: u16, workers: usize, pages: u64) -> (Sample, u64, u64, 
             events: m.events_processed() - ev0,
             sim_bytes: delivered,
             allocs,
+            node_visits: m.pump_stats().node_visits - v0,
         },
         m.parallel_batches(),
         hash,
@@ -362,7 +380,8 @@ fn json_field(s: &Sample) -> String {
             "    \"events_per_sec\": {:.1},\n",
             "    \"sim_bytes\": {},\n",
             "    \"sim_bytes_per_sec\": {:.1},\n",
-            "    \"allocs_per_event\": {:.4}\n",
+            "    \"allocs_per_event\": {:.4},\n",
+            "    \"node_visits_per_event\": {:.4}\n",
             "  }}"
         ),
         s.name,
@@ -372,29 +391,46 @@ fn json_field(s: &Sample) -> String {
         s.sim_bytes,
         s.sim_bytes_per_sec(),
         s.allocs_per_event(),
+        s.node_visits_per_event(),
     )
 }
 
 /// CI smoke: the 32×32 ring at workers 1 and 8 must produce the same
-/// delivery fingerprint and event count, and single-worker throughput
-/// must clear a floor lenient enough for noisy shared runners.
+/// delivery fingerprint and event count, single-worker throughput must
+/// clear a floor lenient enough for noisy shared runners, and the
+/// pump's node visits per event must stay under a deterministic bound.
 fn smoke() {
     banner("simspeed --smoke: 32x32 scaling determinism check");
     const FLOOR_EVENTS_PER_SEC: f64 = 25_000.0;
+    // Measured 0.846 node visits per event; the bound leaves headroom
+    // for small behavioural changes, yet a pump that swept all 1024
+    // nodes again would exceed it a hundredfold.
+    const MAX_NODE_VISITS_PER_EVENT: f64 = 1.5;
     let (s1, b1, h1, w1) = scaling_workload(32, 1, 2);
     let (s8, b8, h8, w8) = scaling_workload(32, 8, 2);
     for s in [&s1, &s8] {
         println!(
-            "{:<14} {:>10.4}s {:>12} events {:>14.0} ev/s",
+            "{:<14} {:>10.4}s {:>12} events {:>14.0} ev/s {:>8.3} node visits/ev",
             s.name,
             s.wall_seconds,
             s.events,
             s.events_per_sec(),
+            s.node_visits_per_event(),
         );
     }
     println!("windows shipped: workers=1 {b1}, workers=8 {b8}");
     assert_eq!(h1, h8, "delivery hash diverged between workers=1 and workers=8");
     assert_eq!(s1.events, s8.events, "event count diverged between worker counts");
+    assert_eq!(
+        s1.node_visits, s8.node_visits,
+        "pump node visits diverged between worker counts"
+    );
+    assert!(
+        s1.node_visits_per_event() <= MAX_NODE_VISITS_PER_EVENT,
+        "node_visits_per_event {:.3} exceeds the {MAX_NODE_VISITS_PER_EVENT} bound: \
+         the network pump is visiting idle nodes again",
+        s1.node_visits_per_event(),
+    );
 
     // The barrier-cause breakdown is deterministic window telemetry:
     // it must be worker-invariant, it must sum to the total windows
@@ -446,12 +482,19 @@ fn main() {
     ];
 
     println!(
-        "{:<14} {:>10} {:>12} {:>14} {:>12} {:>16} {:>10}",
-        "workload", "wall s", "events", "events/s", "sim bytes", "sim bytes/s", "allocs/ev"
+        "{:<14} {:>10} {:>12} {:>14} {:>12} {:>16} {:>10} {:>10}",
+        "workload",
+        "wall s",
+        "events",
+        "events/s",
+        "sim bytes",
+        "sim bytes/s",
+        "allocs/ev",
+        "visits/ev"
     );
     for s in &samples {
         println!(
-            "{:<14} {:>10.4} {:>12} {:>14.0} {:>12} {:>16.0} {:>10.3}",
+            "{:<14} {:>10.4} {:>12} {:>14.0} {:>12} {:>16.0} {:>10.3} {:>10.3}",
             s.name,
             s.wall_seconds,
             s.events,
@@ -459,6 +502,7 @@ fn main() {
             s.sim_bytes,
             s.sim_bytes_per_sec(),
             s.allocs_per_event(),
+            s.node_visits_per_event(),
         );
     }
 
@@ -469,8 +513,8 @@ fn main() {
     // differ.
     println!("\nscaling sweep (32x32 mesh, 1024-node ring, all nodes streaming):");
     println!(
-        "{:<10} {:>10} {:>12} {:>14} {:>10} {:>10}",
-        "workers", "wall s", "events", "events/s", "batches", "allocs/ev"
+        "{:<10} {:>10} {:>12} {:>14} {:>10} {:>10} {:>10}",
+        "workers", "wall s", "events", "events/s", "batches", "allocs/ev", "visits/ev"
     );
     let sweep: Vec<(usize, Sample, u64, u64, WindowStats)> = [1usize, 2, 4, 8, 16]
         .into_iter()
@@ -481,13 +525,14 @@ fn main() {
         .collect();
     for (w, s, batches, hash, _) in &sweep {
         println!(
-            "{:<10} {:>10.4} {:>12} {:>14.0} {:>10} {:>10.3}",
+            "{:<10} {:>10.4} {:>12} {:>14.0} {:>10} {:>10.3} {:>10.3}",
             w,
             s.wall_seconds,
             s.events,
             s.events_per_sec(),
             batches,
             s.allocs_per_event(),
+            s.node_visits_per_event(),
         );
         assert_eq!(
             s.events, sweep[0].1.events,
@@ -523,6 +568,7 @@ fn main() {
         reg.set_counter(format!("{p}.sim_bytes"), s.sim_bytes);
         reg.set_gauge(format!("{p}.sim_bytes_per_sec"), s.sim_bytes_per_sec());
         reg.set_gauge(format!("{p}.allocs_per_event"), s.allocs_per_event());
+        reg.set_gauge(format!("{p}.node_visits_per_event"), s.node_visits_per_event());
     }
     for (w, s, batches, _, _) in &sweep {
         let p = format!("simspeed.scaling1k.workers{w}");
@@ -531,6 +577,7 @@ fn main() {
         reg.set_gauge(format!("{p}.events_per_sec"), s.events_per_sec());
         reg.set_counter(format!("{p}.batches"), *batches);
         reg.set_gauge(format!("{p}.allocs_per_event"), s.allocs_per_event());
+        reg.set_gauge(format!("{p}.node_visits_per_event"), s.node_visits_per_event());
     }
     // The ring's barrier-cause breakdown — worker-invariant, so the
     // first sweep leg speaks for all of them (asserted in --smoke).

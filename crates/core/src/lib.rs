@@ -37,5 +37,5 @@ pub mod pram;
 pub use config::MachineConfig;
 pub use error::MachineError;
 pub use machine::{
-    DeliveryRecord, LatencyRecord, Machine, MachineTelemetry, MapRequest, MappingId,
+    DeliveryRecord, LatencyRecord, Machine, MachineTelemetry, MapRequest, MappingId, PumpStats,
 };

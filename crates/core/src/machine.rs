@@ -20,6 +20,9 @@
 //!    `CMPXCHG` against a command page and stream a page through the same
 //!    outgoing datapath.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use shrimp_cpu::{Cpu, Program, Reg};
 use shrimp_mem::{CacheMode, MemError, PageNum, PhysAddr, VirtAddr, PAGE_SIZE, WORD_SIZE};
 use shrimp_mesh::{MeshNetwork, NodeId};
@@ -162,6 +165,23 @@ impl MachineTelemetry {
     }
 }
 
+/// Deterministic work counters of the network pump, read through
+/// [`Machine::pump_stats`]. They are a function of the simulated run
+/// alone (identical at every worker count and on every host), so a CI
+/// gate can bound them where it could not bound wall clock. They are
+/// kept out of [`Machine::metrics_snapshot`] so pinned snapshots stay
+/// byte-identical.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PumpStats {
+    /// Pump passes: one after every mesh advance and one per EISA DMA
+    /// completion.
+    pub pumps: u64,
+    /// Nodes those passes visited. Only nodes marked dirty since their
+    /// last visit are visited, so this grows with network activity, not
+    /// with machine size.
+    pub node_visits: u64,
+}
+
 /// Bucket width of the per-node calendar queues: 1 ns clusters the
 /// ns-scale CPU/NIC event populations a few per bucket; µs-scale kernel
 /// timers overflow to the far heap, which is tiny per node.
@@ -270,6 +290,19 @@ pub struct Machine {
     /// Reused buffer for draining the mesh's flight log (avoids a
     /// mesh/recorder double borrow and steady-state allocation).
     scratch_flight: Vec<TraceEvent>,
+    /// Per-node dirty bitset (bit `i` of word `i / 64`): nodes whose
+    /// pump could do work. Only these are visited by the next pump,
+    /// which clears them (DESIGN.md §5j).
+    dirty: Vec<u64>,
+    /// Nodes that become dirty at a future time, as a min-heap of
+    /// `(time, node)`: pending housekeep/drain wakeups (a pump at the
+    /// wakeup's own instant runs before the wakeup event and must see
+    /// what the wakeup would) and bounced packets still travelling back
+    /// to their source's ejection buffer.
+    timed_dirty: BinaryHeap<Reverse<(SimTime, u16)>>,
+    /// Reused buffer for draining the mesh's endpoint-change log.
+    scratch_endpoints: Vec<(NodeId, SimTime)>,
+    pump_stats: PumpStats,
 }
 
 impl Machine {
@@ -284,6 +317,7 @@ impl Machine {
         let nodes: Vec<Node> = shape.iter_nodes().map(|id| Node::new(id, &config)).collect();
         let mut mesh = MeshNetwork::new(config.mesh);
         mesh.set_fault_injection(&config.fault);
+        mesh.report_endpoints();
         let tracer = match config.telemetry.trace_level {
             Some(level) => Tracer::new(level),
             None => Tracer::disabled(),
@@ -298,6 +332,7 @@ impl Machine {
         let slot_of = vec![-1; nodes.len()];
         let armed = vec![0; nodes.len()];
         let node_events = vec![0; nodes.len()];
+        let dirty = vec![0; nodes.len().div_ceil(64)];
         Machine {
             config,
             nodes,
@@ -328,6 +363,10 @@ impl Machine {
             profiler: EngineProfiler::new(config.telemetry.profile),
             recorder,
             scratch_flight: Vec::new(),
+            dirty,
+            timed_dirty: BinaryHeap::new(),
+            scratch_endpoints: Vec::new(),
+            pump_stats: PumpStats::default(),
         }
     }
 
@@ -341,6 +380,13 @@ impl Machine {
     /// a per-node breakdown of [`Machine::events_processed`].
     pub fn node_event_counts(&self) -> &[u64] {
         &self.node_events
+    }
+
+    /// Network pump work counters: pump passes and the node visits they
+    /// made. `node_visits / events_processed` is the pump's per-event
+    /// cost, which stays flat as idle nodes are added.
+    pub fn pump_stats(&self) -> PumpStats {
+        self.pump_stats
     }
 
     /// Lookahead windows executed. Window formation runs at every
@@ -412,6 +458,20 @@ impl Machine {
         &mut self.nodes[id.0 as usize]
     }
 
+    /// Mutable access to a node for a host call that may change its NIC
+    /// (a snooped store, a NIPT or translation update), marking it dirty
+    /// so the next pump visits it. Kernel- and CPU-only host calls use
+    /// [`Machine::node_mut`]: nothing the pump reads changes until an
+    /// event runs on the node, and that marks it.
+    fn node_mut_dirty(&mut self, id: NodeId) -> &mut Node {
+        self.mark_dirty(id.0);
+        &mut self.nodes[id.0 as usize]
+    }
+
+    fn mark_dirty(&mut self, node: u16) {
+        self.dirty[node as usize / 64] |= 1 << (node % 64);
+    }
+
     // ────────────────────────── kernel services ──────────────────────────
 
     /// Creates a process on `node`.
@@ -479,7 +539,7 @@ impl Machine {
             dst_pages,
         )?;
         for &frame in &token.frames {
-            self.node_mut(req.dst_node).nic.map_in(frame, true)?;
+            self.node_mut_dirty(req.dst_node).nic.map_in(frame, true)?;
         }
 
         // Sender half: validate + write-through caching.
@@ -529,7 +589,7 @@ impl Machine {
                 dst_base: dst_frame.base().add(dst_off),
                 policy: req.policy,
             };
-            self.node_mut(req.src_node)
+            self.node_mut_dirty(req.src_node)
                 .nic
                 .map_out_segment(src_frame, seg)?;
             self.node_mut(req.src_node)
@@ -593,13 +653,15 @@ impl Machine {
             let chunk = (PAGE_SIZE - src_byte.offset())
                 .min(PAGE_SIZE - dst_off)
                 .min(req.len - pos_b);
-            if let Some(seg) = self.nodes[req.src_node.0 as usize]
+            if let Some(seg) = self
+                .node_mut_dirty(req.src_node)
                 .nic
                 .unmap_out(src_frame, src_byte.offset())
             {
                 dst_frames.push(seg.dst_base.page());
             }
-            let removed = self.nodes[req.src_node.0 as usize]
+            let removed = self
+                .node_mut(req.src_node)
                 .kernel
                 .remove_outgoing(req.src_pid, src_vpn, req.dst_node);
             dst_frames.extend(removed.iter().map(|r| r.dst_frame));
@@ -611,9 +673,7 @@ impl Machine {
                 .entry(src_frame)
                 .is_none_or(|e| !e.is_mapped_out());
             if frame_clear {
-                if let Some(proc) = self.nodes[req.src_node.0 as usize]
-                    .kernel
-                    .process_mut(req.src_pid)
+                if let Some(proc) = self.node_mut(req.src_node).kernel.process_mut(req.src_pid)
                 {
                     proc.page_table_mut().set_cache_mode(src_vpn, CacheMode::WriteBack);
                 }
@@ -627,11 +687,9 @@ impl Machine {
         dst_frames.sort_unstable();
         dst_frames.dedup();
         for frame in dst_frames {
-            let free = self.nodes[req.dst_node.0 as usize]
-                .kernel
-                .release_import(frame, req.src_node);
-            if free {
-                let _ = self.nodes[req.dst_node.0 as usize].nic.map_in(frame, false);
+            let dst = self.node_mut_dirty(req.dst_node);
+            if dst.kernel.release_import(frame, req.src_node) {
+                let _ = dst.nic.map_in(frame, false);
             }
         }
 
@@ -907,7 +965,7 @@ impl Machine {
     ///
     /// Propagates kernel protocol errors.
     pub fn complete_pageout(&mut self, node: NodeId, frame: PageNum) -> Result<(), MachineError> {
-        let n = self.node_mut(node);
+        let n = self.node_mut_dirty(node);
         n.kernel.complete_pageout(frame)?;
         n.nic.map_in(frame, false)?;
         self.flush_tlb(node);
@@ -1016,6 +1074,12 @@ impl Machine {
 
     /// Schedules a machine event on its target node's queue shard.
     fn push_event(&mut self, at: SimTime, node: u16, ev: NodeEvent) {
+        if matches!(ev, NodeEvent::NicHousekeep | NodeEvent::DrainOutgoing) {
+            // A pump at `at` runs before this wakeup; it must still
+            // visit the node (the head packet turns ready, or a receive
+            // stall ends, at exactly `at`).
+            self.timed_dirty.push(Reverse((at, node)));
+        }
         self.sched.push_shard(node as u32, at, Event { node, ev });
     }
 
@@ -1061,6 +1125,7 @@ impl Machine {
             }
         }
         self.node_events[ev.node as usize] += 1;
+        self.mark_dirty(ev.node);
         self.execute_inline(t, ev.node, ev.ev);
     }
 
@@ -1216,6 +1281,9 @@ impl Machine {
 
         // ── Commit: replay in global (time, seq) order. ──
         let p_commit = self.profiler.begin();
+        for &node in &owners {
+            self.mark_dirty(node);
+        }
         // Unexecuted drained entries go back under their original
         // sequence numbers first, so the queue is whole before any
         // effect lands on it.
@@ -1337,16 +1405,73 @@ impl Machine {
 
     // ────────────────────────── network pumping ──────────────────────────
 
+    /// Pumps every dirty node, in ascending node order, and clears the
+    /// dirty set. A clean node's pump would be a no-op, so skipping it
+    /// leaves every push, log entry and `(time, seq)` tie-break exactly
+    /// as a sweep over all nodes would (DESIGN.md §5j).
     fn pump_network(&mut self, t: SimTime) {
         // The run loops interleave mesh events natively (they take
         // min(machine events, mesh events)), so no wakeup needs to be
         // scheduled here — pumping happens after every mesh advance.
-        for i in 0..self.nodes.len() {
-            let id = NodeId(i as u16);
-            self.deliver_ejections(t, id);
-            self.drain_outgoing(t, id);
-            self.collect_interrupts(t, id);
+        self.pump_stats.pumps += 1;
+        while let Some(&Reverse((at, node))) = self.timed_dirty.peek() {
+            if at > t {
+                break;
+            }
+            self.timed_dirty.pop();
+            self.mark_dirty(node);
         }
+        #[cfg(debug_assertions)]
+        let visited = self.dirty.clone();
+        for w in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[w]);
+            while bits != 0 {
+                let id = NodeId((w * 64) as u16 + bits.trailing_zeros() as u16);
+                bits &= bits - 1;
+                self.pump_stats.node_visits += 1;
+                self.deliver_ejections(t, id);
+                self.drain_outgoing(t, id);
+                self.collect_interrupts(t, id);
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.assert_clean_nodes_idle(t, &visited);
+    }
+
+    /// The dirty-set oracle (debug builds): every node this pump skipped
+    /// must have been a no-op to pump.
+    #[cfg(debug_assertions)]
+    fn assert_clean_nodes_idle(&self, t: SimTime, visited: &[u64]) {
+        for i in 0..self.nodes.len() {
+            if visited[i / 64] & (1 << (i % 64)) != 0 {
+                continue;
+            }
+            if let Some(why) = self.pump_work(t, NodeId(i as u16)) {
+                panic!("dirty-set oracle: clean node {i} skipped by the pump at {t:?}, but {why}");
+            }
+        }
+    }
+
+    /// Why pumping `node` at `t` would do something, or `None` when the
+    /// visit would be a no-op. Side-effect free.
+    #[cfg(debug_assertions)]
+    fn pump_work(&self, t: SimTime, node: NodeId) -> Option<&'static str> {
+        let n = &self.nodes[node.0 as usize];
+        if self.mesh.peek_ejection(node).is_some_and(|a| a <= t)
+            && n.nic.can_accept_from_network_at(t)
+        {
+            return Some("it has an ejection its NIC can accept");
+        }
+        if self.mesh.can_inject(node) && n.nic.outgoing_due(t) {
+            return Some("it has an outbound packet ready to inject");
+        }
+        if n.nic.has_interrupts() {
+            return Some("it has pending interrupts");
+        }
+        if n.due_wakeups(t).iter().any(Option::is_some) {
+            return Some("it would schedule a wakeup");
+        }
+        None
     }
 
     fn deliver_ejections(&mut self, t: SimTime, node: NodeId) {
@@ -1622,7 +1747,7 @@ impl Machine {
 
         // Receiver side: page the buffer back in and re-grant.
         {
-            let dst_kernel = &mut self.nodes[req.dst_node.0 as usize].kernel;
+            let dst_kernel = &mut self.node_mut(req.dst_node).kernel;
             let Some(export) = dst_kernel.export(req.export).copied() else {
                 return false;
             };
@@ -1633,7 +1758,7 @@ impl Machine {
                 }
             }
         }
-        let token = match self.nodes[req.dst_node.0 as usize].kernel.grant_in_mapping(
+        let token = match self.node_mut(req.dst_node).kernel.grant_in_mapping(
             req.export,
             req.src_node,
             first_dst_page,
@@ -1643,10 +1768,7 @@ impl Machine {
             Err(_) => return false,
         };
         for &frame in &token.frames {
-            if self.nodes[req.dst_node.0 as usize]
-                .nic
-                .map_in(frame, true)
-                .is_err()
+            if self.node_mut_dirty(req.dst_node).nic.map_in(frame, true).is_err()
             {
                 return false;
             }
@@ -1670,7 +1792,8 @@ impl Machine {
                 dst_base: frame.base().add(dst_off),
                 policy: req.policy,
             };
-            if self.nodes[node.0 as usize]
+            if self
+                .node_mut_dirty(node)
                 .nic
                 .map_out_segment(rec.src_frame, seg)
                 .is_err()
@@ -1697,8 +1820,9 @@ impl Machine {
         value: u32,
     ) -> Result<SimTime, MachineError> {
         let pages_per_node = self.config.pages_per_node;
-        let done =
-            self.nodes[node.0 as usize].store_word_through(t, pid, va, value, pages_per_node)?;
+        let done = self
+            .node_mut_dirty(node)
+            .store_word_through(t, pid, va, value, pages_per_node)?;
         self.schedule_node_wakeups(t, node);
         Ok(done)
     }
@@ -1916,6 +2040,16 @@ impl SimHost for Machine {
             }
             self.scratch_flight = buf;
         }
+        let mut ends = std::mem::take(&mut self.scratch_endpoints);
+        self.mesh.drain_endpoint_changes(&mut ends);
+        for (node, at) in ends.drain(..) {
+            if at <= t {
+                self.mark_dirty(node.0);
+            } else {
+                self.timed_dirty.push(Reverse((at, node.0)));
+            }
+        }
+        self.scratch_endpoints = ends;
         self.pump_network(t);
         self.profiler.end_sampled(EnginePhase::MeshPump, p);
     }

@@ -395,32 +395,41 @@ impl Node {
 
     // ────────────────────────── wakeup scheduling ─────────────────────────
 
-    /// Records deduplicated NIC wakeup events (housekeep / drain / pop)
-    /// for whatever the NIC currently has pending.
-    pub(crate) fn schedule_wakeups(&mut self, t: SimTime, fx: &mut NodeEffects) {
+    /// The deduplicated NIC wakeups (housekeep, drain, pop) that
+    /// [`Node::schedule_wakeups`] would record at `t`, computed without
+    /// recording them.
+    pub(crate) fn due_wakeups(&self, t: SimTime) -> [Option<SimTime>; 3] {
         let housekeep = self.nic.next_deadline().map(|d| d.max(t));
         let drain = self.nic.outgoing_ready_at().filter(|&r| r > t);
         let pop = self.nic.incoming_ready_at().map(|r| r.max(t));
+        [
+            housekeep.filter(|&at| wakeup_due(self.housekeep_wakeup, t, at)),
+            drain.filter(|&at| wakeup_due(self.drain_wakeup, t, at)),
+            pop.filter(|&at| wakeup_due(self.pop_wakeup, t, at)),
+        ]
+    }
+
+    /// Records deduplicated NIC wakeup events (housekeep / drain / pop)
+    /// for whatever the NIC currently has pending.
+    pub(crate) fn schedule_wakeups(&mut self, t: SimTime, fx: &mut NodeEffects) {
+        let [housekeep, drain, pop] = self.due_wakeups(t);
         if let Some(at) = housekeep {
-            if self.housekeep_wakeup.is_none_or(|w| at < w || w < t) {
-                self.housekeep_wakeup = Some(at);
-                fx.push_event(at, self.id.0, NodeEvent::NicHousekeep);
-            }
+            self.housekeep_wakeup = Some(at);
+            fx.push_event(at, self.id.0, NodeEvent::NicHousekeep);
         }
         if let Some(at) = drain {
-            if self.drain_wakeup.is_none_or(|w| at < w || w < t) {
-                self.drain_wakeup = Some(at);
-                fx.push_event(at, self.id.0, NodeEvent::DrainOutgoing);
-            }
+            self.drain_wakeup = Some(at);
+            fx.push_event(at, self.id.0, NodeEvent::DrainOutgoing);
         }
         if let Some(at) = pop {
-            self.due_pop_wakeup(t, at, fx);
+            self.pop_wakeup = Some(at);
+            fx.push_event(at, self.id.0, NodeEvent::PopIncoming);
         }
     }
 
     /// Records a deduplicated PopIncoming wakeup at `at`.
     pub(crate) fn due_pop_wakeup(&mut self, t: SimTime, at: SimTime, fx: &mut NodeEffects) {
-        if self.pop_wakeup.is_none_or(|w| at < w || w < t) {
+        if wakeup_due(self.pop_wakeup, t, at) {
             self.pop_wakeup = Some(at);
             fx.push_event(at, self.id.0, NodeEvent::PopIncoming);
         }
@@ -460,6 +469,12 @@ impl Node {
         };
         Ok(bus.store_word(t, va, value)?)
     }
+}
+
+/// Wakeup dedup: a wakeup at `at` is pushed unless one already pending
+/// in `slot` fires no later (a slot older than `t` has already fired).
+fn wakeup_due(slot: Option<SimTime>, t: SimTime, at: SimTime) -> bool {
+    slot.is_none_or(|w| at < w || w < t)
 }
 
 /// The node's NIC datapath as a passive component: earliest pending NIC

@@ -19,20 +19,53 @@ use crate::error::MemError;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhysicalMemory {
-    data: Vec<u8>,
+    /// One slot per installed page. A page's bytes are allocated on its
+    /// first write and an absent page reads as zeros, so installing DRAM
+    /// costs nothing for the pages a run never writes — building a
+    /// machine stays cheap however much memory each node has, and
+    /// however the host allocator recycles earlier machines' memory.
+    pages: Vec<Option<Box<[u8]>>>,
+}
+
+const PAGE_BYTES: usize = PAGE_SIZE as usize;
+
+/// What every never-written page reads as.
+static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
+
+/// Splits the byte range `[start, start + len)` at page boundaries:
+/// `(page index, offset in page, byte count)` per piece.
+fn page_chunks(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let end = start + len;
+    let mut at = start;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let (page, off) = (at / PAGE_BYTES, at % PAGE_BYTES);
+            let n = (PAGE_BYTES - off).min(end - at);
+            at += n;
+            (page, off, n)
+        })
+    })
 }
 
 impl PhysicalMemory {
     /// Creates zero-filled DRAM of `pages` pages.
     pub fn new(pages: u64) -> Self {
         PhysicalMemory {
-            data: vec![0u8; (pages * PAGE_SIZE) as usize],
+            pages: vec![None; pages as usize],
         }
     }
 
     /// Installed size in bytes.
     pub fn size(&self) -> u64 {
-        self.data.len() as u64
+        self.pages.len() as u64 * PAGE_SIZE
+    }
+
+    fn page(&self, index: usize) -> &[u8] {
+        self.pages[index].as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
+    fn page_mut(&mut self, index: usize) -> &mut [u8] {
+        self.pages[index].get_or_insert_with(|| vec![0; PAGE_BYTES].into_boxed_slice())
     }
 
     /// Number of installed pages.
@@ -73,7 +106,9 @@ impl PhysicalMemory {
             });
         }
         let i = self.check(addr, WORD_SIZE)?;
-        Ok(u32::from_le_bytes(self.data[i..i + 4].try_into().unwrap()))
+        // Aligned words never straddle a page.
+        let (page, off) = (i / PAGE_BYTES, i % PAGE_BYTES);
+        Ok(u32::from_le_bytes(self.page(page)[off..off + 4].try_into().unwrap()))
     }
 
     /// Writes one little-endian 32-bit word.
@@ -90,7 +125,8 @@ impl PhysicalMemory {
             });
         }
         let i = self.check(addr, WORD_SIZE)?;
-        self.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        let (page, off) = (i / PAGE_BYTES, i % PAGE_BYTES);
+        self.page_mut(page)[off..off + 4].copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
@@ -101,7 +137,11 @@ impl PhysicalMemory {
     /// Returns [`MemError::OutOfRange`] if the range is not fully installed.
     pub fn read_bytes_into(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
         let i = self.check(addr, buf.len() as u64)?;
-        buf.copy_from_slice(&self.data[i..i + buf.len()]);
+        let mut pos = 0;
+        for (page, off, n) in page_chunks(i, buf.len()) {
+            buf[pos..pos + n].copy_from_slice(&self.page(page)[off..off + n]);
+            pos += n;
+        }
         Ok(())
     }
 
@@ -123,7 +163,11 @@ impl PhysicalMemory {
     /// Returns [`MemError::OutOfRange`] if the range is not fully installed.
     pub fn write_bytes(&mut self, addr: PhysAddr, bytes: &[u8]) -> Result<(), MemError> {
         let i = self.check(addr, bytes.len() as u64)?;
-        self.data[i..i + bytes.len()].copy_from_slice(bytes);
+        let mut pos = 0;
+        for (page, off, n) in page_chunks(i, bytes.len()) {
+            self.page_mut(page)[off..off + n].copy_from_slice(&bytes[pos..pos + n]);
+            pos += n;
+        }
         Ok(())
     }
 
@@ -134,7 +178,9 @@ impl PhysicalMemory {
     /// Returns [`MemError::OutOfRange`] if the range is not fully installed.
     pub fn fill(&mut self, addr: PhysAddr, len: u64, value: u8) -> Result<(), MemError> {
         let i = self.check(addr, len)?;
-        self.data[i..i + len as usize].fill(value);
+        for (page, off, n) in page_chunks(i, len as usize) {
+            self.page_mut(page)[off..off + n].fill(value);
+        }
         Ok(())
     }
 
@@ -144,8 +190,8 @@ impl PhysicalMemory {
     ///
     /// Returns [`MemError::OutOfRange`] if the page is not installed.
     pub fn page_slice(&self, page: PageNum) -> Result<&[u8], MemError> {
-        let i = self.check(page.base(), PAGE_SIZE)?;
-        Ok(&self.data[i..i + PAGE_SIZE as usize])
+        self.check(page.base(), PAGE_SIZE)?;
+        Ok(self.page(page.raw() as usize))
     }
 }
 
@@ -229,5 +275,19 @@ mod tests {
     fn fresh_memory_is_zeroed() {
         let m = PhysicalMemory::new(1);
         assert!(m.read_bytes(PhysAddr::new(0), 64).unwrap().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn ranges_straddle_pages_and_only_written_pages_are_allocated() {
+        let mut m = PhysicalMemory::new(4);
+        let data: Vec<u8> = (0..PAGE_SIZE + 200).map(|i| (i % 251) as u8 + 1).collect();
+        let start = PhysAddr::new(2 * PAGE_SIZE - 100);
+        m.write_bytes(start, &data).unwrap();
+        assert_eq!(m.read_bytes(start, data.len() as u64).unwrap(), data);
+        // The write touched pages 1..=3; page 0 was never written.
+        assert_eq!(m.pages.iter().filter(|p| p.is_some()).count(), 3);
+        assert!(m.page_slice(PageNum::new(0)).unwrap().iter().all(|&b| b == 0));
+        // Bytes around the written range still read as zeros.
+        assert_eq!(m.read_bytes(PhysAddr::new(2 * PAGE_SIZE - 104), 4).unwrap(), vec![0; 4]);
     }
 }

@@ -163,6 +163,12 @@ pub struct MeshNetwork<P = Bytes> {
     /// observation: it never affects routing or timing.
     flight_enabled: bool,
     flight_log: Vec<TraceEvent>,
+    /// When on, every endpoint change made inside `advance` — a packet
+    /// landing in an ejection buffer, or an injection port freeing a
+    /// slot — is logged here for the host to drain, so it can react at
+    /// exactly those nodes instead of polling all of them.
+    endpoints_enabled: bool,
+    endpoint_log: Vec<(NodeId, SimTime)>,
 }
 
 impl<P: MeshPayload> MeshNetwork<P> {
@@ -201,6 +207,8 @@ impl<P: MeshPayload> MeshNetwork<P> {
             tracer: Tracer::disabled(),
             flight_enabled: false,
             flight_log: Vec::new(),
+            endpoints_enabled: false,
+            endpoint_log: Vec::new(),
         }
     }
 
@@ -260,6 +268,32 @@ impl<P: MeshPayload> MeshNetwork<P> {
     /// Moves all pending flight-log events into `out` (emission order).
     pub fn drain_flight_into(&mut self, out: &mut Vec<TraceEvent>) {
         out.append(&mut self.flight_log);
+    }
+
+    /// Turns on endpoint-change reporting (see
+    /// [`MeshNetwork::drain_endpoint_changes`]). Off by default, so a
+    /// caller that never drains the log does not grow it.
+    pub fn report_endpoints(&mut self) {
+        self.endpoints_enabled = true;
+    }
+
+    /// Moves every endpoint change recorded by `advance` since the last
+    /// drain into `out`, in the order they happened. Each entry is a
+    /// node whose ejection buffer gained a packet or whose injection
+    /// port freed a slot, and the time from which the host can act on
+    /// it: the event time, except for a bounce, whose packet reaches its
+    /// source's ejection buffer one hop latency later. Routers a packet
+    /// merely crossed are never reported, so the log grows with the
+    /// number of deliveries and injections, not with hop count.
+    pub fn drain_endpoint_changes(&mut self, out: &mut Vec<(NodeId, SimTime)>) {
+        out.append(&mut self.endpoint_log);
+    }
+
+    #[inline]
+    fn endpoint_changed(&mut self, node: NodeId, at: SimTime) {
+        if self.endpoints_enabled {
+            self.endpoint_log.push((node, at));
+        }
     }
 
     #[inline]
@@ -424,6 +458,11 @@ impl<P: MeshPayload> MeshNetwork<P> {
                 }
                 Event::SlotDrained { node, port } => {
                     self.routers[node.0 as usize].inputs[port].draining -= 1;
+                    if port == PORT_INJECT {
+                        // The host's Outgoing FIFO may have been stalled
+                        // on this injection slot.
+                        self.endpoint_changed(node, t);
+                    }
                     // The feeder of this buffer may have been stalled on
                     // the freed slot.
                     if port != PORT_INJECT {
@@ -524,8 +563,10 @@ impl<P: MeshPayload> MeshNetwork<P> {
                 }
                 router.inputs[port].queue.pop_front();
                 router.ejection.push_back((id, t));
-                // The input slot frees immediately: wake the feeder.
+                // The input slot frees immediately: wake the feeder (a
+                // self-send frees the host's own injection slot).
                 self.wake_feeder(node, port, t);
+                self.endpoint_changed(node, t);
                 true
             }
             RouteDecision::Unreachable => {
@@ -542,6 +583,9 @@ impl<P: MeshPayload> MeshNetwork<P> {
                 }
                 self.routers[node.0 as usize].inputs[port].queue.pop_front();
                 self.wake_feeder(node, port, t);
+                if port == PORT_INJECT {
+                    self.endpoint_changed(node, t);
+                }
                 self.bounce(id, node, t);
                 true
             }
@@ -680,6 +724,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
         let dst = inflight.packet.dst();
         let back_at = t + self.config.hop_latency;
         self.routers[src.0 as usize].ejection.push_back((id, back_at));
+        self.endpoint_changed(src, back_at);
         self.stats.bounced += 1;
         self.flight(
             t,
@@ -1037,6 +1082,46 @@ mod tests {
         n.set_link_state(link(1, Direction::West), true, n.now());
         n.try_inject(n.now(), pkt(1, 0, 64)).unwrap();
         assert_eq!(drain(&mut n, NodeId(0)).len(), 1);
+    }
+
+    /// Drains the endpoint log, keeping only the nodes.
+    fn endpoint_nodes(n: &mut MeshNetwork) -> Vec<u16> {
+        let mut out = Vec::new();
+        n.drain_endpoint_changes(&mut out);
+        out.into_iter().map(|(node, _)| node.0).collect()
+    }
+
+    #[test]
+    fn endpoint_log_names_only_source_and_destination() {
+        // 0 -> 15 on a 4x4 mesh crosses five transit routers; only the
+        // source (its injection slot frees) and the destination (its
+        // ejection buffer fills) may be reported.
+        let mut n = net(4, 4);
+        n.try_inject(SimTime::ZERO, pkt(0, 15, 32)).unwrap();
+        n.advance(FAR);
+        assert!(endpoint_nodes(&mut n).is_empty(), "reporting is opt-in");
+        n.report_endpoints();
+        n.try_inject(n.now(), pkt(0, 15, 32)).unwrap();
+        n.advance(FAR);
+        let mut nodes = endpoint_nodes(&mut n);
+        nodes.sort_unstable();
+        assert_eq!(nodes, vec![0, 15]);
+        assert!(endpoint_nodes(&mut n).is_empty(), "draining empties the log");
+    }
+
+    #[test]
+    fn bounce_reports_source_at_its_return_time() {
+        let mut n = net(2, 1);
+        n.churn_armed = true;
+        n.report_endpoints();
+        n.set_link_state(link(1, Direction::West), false, SimTime::ZERO);
+        n.try_inject(SimTime::ZERO, pkt(1, 0, 64)).unwrap();
+        n.advance(FAR);
+        let mut log = Vec::new();
+        n.drain_endpoint_changes(&mut log);
+        let back_at = n.peek_ejection(NodeId(1)).expect("bounced home");
+        assert!(log.contains(&(NodeId(1), back_at)), "bounce reported at {back_at:?}: {log:?}");
+        assert!(log.iter().all(|&(node, _)| node == NodeId(1)), "node 0 never sees it");
     }
 
     #[test]

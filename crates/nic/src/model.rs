@@ -136,6 +136,9 @@ pub trait NicModel {
     fn outgoing_ready_at(&self) -> Option<SimTime>;
     /// Pops the next outgoing mesh packet ready by `now`.
     fn pop_outgoing(&mut self, now: SimTime) -> Option<MeshPacket<ShrimpPacket>>;
+    /// True when [`NicModel::pop_outgoing`] at `now` would change state
+    /// (side-effect free).
+    fn outgoing_due(&self, now: SimTime) -> bool;
     /// True when control frames or replays are waiting to inject.
     fn has_pending_control(&self) -> bool;
     /// True while the NIC accepts packets from the network at `now`.
@@ -157,6 +160,8 @@ pub trait NicModel {
     fn incoming_ready_at(&self) -> Option<SimTime>;
     /// Drains raised interrupts.
     fn take_interrupts(&mut self) -> Vec<NicInterrupt>;
+    /// True when raised interrupts are waiting to be taken.
+    fn has_interrupts(&self) -> bool;
     /// Outgoing FIFO occupancy in bytes.
     fn out_fifo_bytes(&self) -> u64;
     /// Incoming FIFO occupancy in bytes.
@@ -267,6 +272,9 @@ impl NicModel for NetworkInterface {
     fn pop_outgoing(&mut self, now: SimTime) -> Option<MeshPacket<ShrimpPacket>> {
         NetworkInterface::pop_outgoing(self, now)
     }
+    fn outgoing_due(&self, now: SimTime) -> bool {
+        NetworkInterface::outgoing_due(self, now)
+    }
     fn has_pending_control(&self) -> bool {
         NetworkInterface::has_pending_control(self)
     }
@@ -288,6 +296,9 @@ impl NicModel for NetworkInterface {
     }
     fn take_interrupts(&mut self) -> Vec<NicInterrupt> {
         NetworkInterface::take_interrupts(self)
+    }
+    fn has_interrupts(&self) -> bool {
+        NetworkInterface::has_interrupts(self)
     }
     fn out_fifo_bytes(&self) -> u64 {
         NetworkInterface::out_fifo_bytes(self)
@@ -417,6 +428,9 @@ impl NicModel for AnyNic {
     fn pop_outgoing(&mut self, now: SimTime) -> Option<MeshPacket<ShrimpPacket>> {
         dispatch!(self, n => n.pop_outgoing(now))
     }
+    fn outgoing_due(&self, now: SimTime) -> bool {
+        dispatch!(self, n => n.outgoing_due(now))
+    }
     fn has_pending_control(&self) -> bool {
         dispatch!(self, n => n.has_pending_control())
     }
@@ -438,6 +452,9 @@ impl NicModel for AnyNic {
     }
     fn take_interrupts(&mut self) -> Vec<NicInterrupt> {
         dispatch!(self, n => n.take_interrupts())
+    }
+    fn has_interrupts(&self) -> bool {
+        dispatch!(self, n => n.has_interrupts())
     }
     fn out_fifo_bytes(&self) -> u64 {
         dispatch!(self, n => n.out_fifo_bytes())

@@ -218,4 +218,9 @@ impl NetworkInterface {
     pub fn take_interrupts(&mut self) -> Vec<NicInterrupt> {
         std::mem::take(&mut self.interrupts)
     }
+
+    /// True when raised interrupts are waiting to be taken.
+    pub fn has_interrupts(&self) -> bool {
+        !self.interrupts.is_empty()
+    }
 }

@@ -195,6 +195,38 @@ impl NetworkInterface {
         Some(MeshPacket::new(self.node, dst, packet))
     }
 
+    /// True when [`NetworkInterface::pop_outgoing`] at `now` would
+    /// change this NIC's state: a control frame is ready, a go-back-N
+    /// replay is armed (it either yields a packet or retires a stale
+    /// replay), or the head data packet is ready and its destination's
+    /// retransmit window has room. Side-effect free, so a host can ask
+    /// whether a drain would be a no-op without performing it.
+    pub fn outgoing_due(&self, now: SimTime) -> bool {
+        if self.ctl_queue.front().is_some_and(|(ready, _, _)| *ready <= now) {
+            return true;
+        }
+        if let Some(st) = &self.retx {
+            if st.send.values().any(|p| p.resend_from.is_some()) {
+                return true;
+            }
+        }
+        let Some((head, ready)) = self.out_fifo.peek_with_time() else {
+            return false;
+        };
+        if ready > now {
+            return false;
+        }
+        match &self.retx {
+            None => true,
+            Some(st) => {
+                let dst = self.shape.id_at(head.header().dst_coord);
+                st.send
+                    .get(&dst.0)
+                    .is_none_or(|p| p.unacked.len() < self.config.retx.window_packets)
+            }
+        }
+    }
+
     /// True when link-level control frames or go-back-N replays are
     /// waiting to be injected. Always false with retransmission off, so
     /// callers can gate extra drain passes on it for free.

@@ -333,6 +333,9 @@ impl NicModel for UnpinnedNicModel {
     fn pop_outgoing(&mut self, now: SimTime) -> Option<MeshPacket<ShrimpPacket>> {
         self.inner.pop_outgoing(now)
     }
+    fn outgoing_due(&self, now: SimTime) -> bool {
+        self.inner.outgoing_due(now)
+    }
     fn has_pending_control(&self) -> bool {
         self.inner.has_pending_control()
     }
@@ -354,6 +357,9 @@ impl NicModel for UnpinnedNicModel {
     }
     fn take_interrupts(&mut self) -> Vec<NicInterrupt> {
         self.inner.take_interrupts()
+    }
+    fn has_interrupts(&self) -> bool {
+        self.inner.has_interrupts()
     }
     fn out_fifo_bytes(&self) -> u64 {
         self.inner.out_fifo_bytes()

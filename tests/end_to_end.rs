@@ -491,3 +491,63 @@ fn mapped_queue_between_distant_nodes() {
     let tail: Vec<u32> = ((20 - got.len() as u32)..20).collect();
     assert_eq!(got, tail, "whatever remained queued arrives in order");
 }
+
+/// Two 1-page automatic-update links on a 2×2 mesh: 0 → 1 and 2 → 3.
+fn two_links() -> (Machine, [(Pid, VirtAddr); 2]) {
+    let mut m = Machine::new(MachineConfig::prototype(MeshShape::new(2, 2)));
+    let mut senders = [(Pid(0), VirtAddr::new(0)); 2];
+    for (i, (src, dst)) in [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))].into_iter().enumerate() {
+        let s = m.create_process(src);
+        let r = m.create_process(dst);
+        let src_va = m.alloc_pages(src, s, 1).unwrap();
+        let rcv_va = m.alloc_pages(dst, r, 1).unwrap();
+        let export = m.export_buffer(dst, r, rcv_va, 1, Some(src)).unwrap();
+        m.map(MapRequest {
+            src_node: src,
+            src_pid: s,
+            src_va,
+            dst_node: dst,
+            export,
+            dst_offset: 0,
+            len: PAGE_SIZE,
+            policy: UpdatePolicy::AutomaticSingle,
+        })
+        .unwrap();
+        senders[i] = (s, src_va);
+    }
+    (m, senders)
+}
+
+/// A network pump runs before the node events of its own instant. Here
+/// node 1's DMA completion pumps the network at the exact picosecond
+/// node 2's second packet turns ready, while node 2 was already pumped
+/// clean after its first packet left. The pump must still visit node 2
+/// and inject that packet, as a sweep over every node would; in debug
+/// builds the dirty-set oracle fails the run if it skips node 2.
+#[test]
+fn pump_visits_a_node_whose_wakeup_ties_the_pump() {
+    let (mut m, [a, _]) = two_links();
+    let t0 = m.now();
+    m.poke(NodeId(0), a.0, a.1, &1u32.to_le_bytes()).unwrap();
+    m.run_until_idle().unwrap();
+    let dma_done = m.deliveries()[0].time;
+
+    // Node 2's packetization latency, then when its second word of a
+    // two-word poke turns ready, relative to the poke.
+    let (mut m, [_, b]) = two_links();
+    m.poke(NodeId(2), b.0, b.1, &1u32.to_le_bytes()).unwrap();
+    let latency = m.nic(NodeId(2)).outgoing_ready_at().unwrap().since(m.now());
+    let (mut m, [_, b]) = two_links();
+    m.poke(NodeId(2), b.0, b.1, &[7; 8]).unwrap();
+    let second_ready = m.now().since(t0) + latency;
+
+    let (mut m, [a, b]) = two_links();
+    m.poke(NodeId(0), a.0, a.1, &1u32.to_le_bytes()).unwrap();
+    let start = t0 + (dma_done.since(t0) - second_ready);
+    m.run_until(start);
+    m.poke(NodeId(2), b.0, b.1, &[7; 8]).unwrap();
+    m.run_until_idle().unwrap();
+    assert_eq!(m.deliveries()[0].time, dma_done, "node 1's DMA completes as probed");
+    let to_node3: Vec<_> = m.deliveries().iter().filter(|d| d.node == NodeId(3)).collect();
+    assert_eq!(to_node3.len(), 2, "both of node 2's words arrive");
+}

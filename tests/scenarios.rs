@@ -198,3 +198,28 @@ fn report_session_metrics_reconcile() {
     assert!(m.histogram("sessions.rpc.op_latency").unwrap().count > 0);
     assert!(m.counter("machine.sessions_opened").unwrap() >= sc.total_sessions());
 }
+
+/// The network pump visits only nodes with work, so its per-event cost
+/// must not grow with idle nodes: the streaming scenario on a 32×32
+/// mesh (1,020 of its 1,024 nodes idle at any time) may cost at most 2×
+/// the node visits per event of the same scenario on its own 2×2 mesh.
+/// A pump that swept every node after every mesh advance scored ~256×.
+#[test]
+fn pump_visits_per_event_do_not_grow_with_idle_nodes() {
+    let path = format!("{}/scenarios/streaming.shrimp", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    assert!(text.lines().any(|l| l == "mesh 2x2"), "streaming.shrimp runs on a 2x2 mesh");
+    let wide = text.replace("mesh 2x2", "mesh 32x32");
+    let visits_per_event = |doc: &str| {
+        let sc = Scenario::parse(doc).expect("streaming scenario parses");
+        let (report, m) = run_scenario_observed(&sc, Some(1)).expect("streaming completes");
+        assert_eq!(report.sessions_completed, sc.total_sessions(), "{:?}: sessions", sc.mesh);
+        m.pump_stats().node_visits as f64 / report.events_processed as f64
+    };
+    let small = visits_per_event(&text);
+    let large = visits_per_event(&wide);
+    assert!(
+        large <= 2.0 * small,
+        "node visits per event grew with idle nodes: {large:.3} at 32x32 vs {small:.3} at 2x2"
+    );
+}
