@@ -113,14 +113,7 @@ impl Value {
             Value::Uint(n) => {
                 let _ = write!(out, "{n}");
             }
-            Value::Float(f) => {
-                if f.is_finite() {
-                    // `{:?}` is Rust's shortest round-trip float form.
-                    let _ = write!(out, "{f:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Value::Float(f) => write_f64(out, *f),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(items) => {
                 out.push('[');
@@ -150,8 +143,10 @@ impl Value {
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -163,22 +158,42 @@ impl Value {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Writes `s` as a quoted JSON string: `"` and `\` backslash-escaped,
+/// `\n`/`\r`/`\t` by name, every other control character as `\u00XX`,
+/// everything else verbatim. Runs that need no escape are copied whole.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        // `i` and `run` sit next to ASCII bytes, so both are char boundaries.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Writes a float in Rust's shortest round-trip form (`{:?}`, so whole
+/// numbers keep their `.0`), or `null` when it is NaN or infinite.
+pub(crate) fn write_f64(out: &mut String, f: f64) {
+    if f.is_finite() {
+        let _ = write!(out, "{f:?}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// A parse failure with a byte offset into the input.
@@ -198,9 +213,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How many arrays and objects may enclose a value. Telemetry documents
+/// nest three (metrics) or four (Chrome traces) deep; the limit keeps
+/// hostile input from overflowing the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -241,8 +264,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -250,6 +273,21 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
@@ -307,6 +345,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one go. Every stop byte is ASCII, so the run is a
+            // whole UTF-8 slice of the input.
+            let start = self.pos;
+            while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                self.pos += 1;
+            }
+            s.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -329,10 +375,12 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four ASCII hex digits; a sign is
+                            // not a digit.
+                            let code = hex.iter().try_fold(0u32, |code, &c| {
+                                char::from(c).to_digit(16).map(|d| code << 4 | d)
+                            });
+                            let code = code.ok_or_else(|| self.err("bad \\u escape"))?;
                             // Surrogates collapse to the replacement char;
                             // the telemetry writer never emits them.
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -342,15 +390,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -410,9 +450,57 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u04\"",
+            "\"\\u00é\"",
+        ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn rejects_raw_control_characters_in_strings() {
+        for bad in [
+            "\"a\u{1}b\"",
+            "\"tab\there\"",
+            "\"line\nbreak\"",
+            "{\"k\u{1f}\":1}",
+        ] {
+            let err = Value::parse(bad).unwrap_err();
+            assert!(err.message.contains("control character"), "{bad:?}: {err}");
+        }
+        // The escaped forms are fine.
+        assert_eq!(
+            Value::parse("\"a\\u0001\\t\"").unwrap(),
+            Value::Str("a\u{1}\t".into())
+        );
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Value::parse(&ok).is_ok());
+        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let err = Value::parse(&over).unwrap_err();
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "offset of the first bracket past the limit"
+        );
+        assert!(err.message.contains("nested too deep"));
+        // A million open brackets return an error instead of
+        // overflowing the stack.
+        let err = Value::parse(&"{\"a\":[".repeat(1_000_000)).unwrap_err();
+        assert!(err.message.contains("nested too deep"));
+        assert!(Value::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -37,8 +37,9 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::json::{JsonError, Value};
+use crate::json::{write_escaped, write_f64, JsonError, Value};
 use crate::stats::Histogram;
 
 /// Handle to one counter inside a [`MetricSet`].
@@ -245,40 +246,50 @@ impl MetricsSnapshot {
     }
 
     /// Serializes to the stable `shrimp.metrics.v1` schema (keys sorted,
-    /// one line).
+    /// one line), writing straight into one pre-sized string.
     pub fn to_json(&self) -> String {
-        let entries = self
+        let size: usize = self
             .entries
             .iter()
             .map(|(name, value)| {
-                let v = match value {
-                    MetricValue::Counter(n) => Value::Object(vec![
-                        ("type".into(), Value::Str("counter".into())),
-                        ("value".into(), Value::Uint(*n)),
-                    ]),
-                    MetricValue::Gauge(g) => Value::Object(vec![
-                        ("type".into(), Value::Str("gauge".into())),
-                        ("value".into(), Value::Float(*g)),
-                    ]),
-                    MetricValue::Histogram(h) => Value::Object(vec![
-                        ("type".into(), Value::Str("histogram".into())),
-                        ("count".into(), Value::Uint(h.count)),
-                        ("min".into(), Value::Uint(h.min)),
-                        ("max".into(), Value::Uint(h.max)),
-                        ("mean".into(), Value::Float(h.mean)),
-                        ("p50".into(), Value::Uint(h.p50)),
-                        ("p95".into(), Value::Uint(h.p95)),
-                        ("p99".into(), Value::Uint(h.p99)),
-                    ]),
-                };
-                (name.clone(), v)
+                name.len()
+                    + match value {
+                        MetricValue::Counter(_) | MetricValue::Gauge(_) => 56,
+                        MetricValue::Histogram(_) => 160,
+                    }
             })
-            .collect();
-        Value::Object(vec![
-            ("schema".into(), Value::Str("shrimp.metrics.v1".into())),
-            ("entries".into(), Value::Object(entries)),
-        ])
-        .to_json()
+            .sum();
+        // Sizes of typical entries; the string still grows if a long
+        // number or an escaped name overruns them.
+        let mut out = String::with_capacity(48 + size);
+        out.push_str(r#"{"schema":"shrimp.metrics.v1","entries":{"#);
+        for (i, (name, value)) in self.entries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(&mut out, name);
+            match value {
+                MetricValue::Counter(n) => {
+                    let _ = write!(out, r#":{{"type":"counter","value":{n}}}"#);
+                }
+                MetricValue::Gauge(g) => {
+                    out.push_str(r#":{"type":"gauge","value":"#);
+                    write_f64(&mut out, *g);
+                    out.push('}');
+                }
+                MetricValue::Histogram(h) => {
+                    let _ = write!(
+                        out,
+                        r#":{{"type":"histogram","count":{},"min":{},"max":{},"mean":"#,
+                        h.count, h.min, h.max
+                    );
+                    write_f64(&mut out, h.mean);
+                    let _ = write!(out, r#","p50":{},"p95":{},"p99":{}}}"#, h.p50, h.p95, h.p99);
+                }
+            }
+        }
+        out.push_str("}}");
+        out
     }
 
     /// Parses a `shrimp.metrics.v1` document back into a snapshot.
@@ -336,7 +347,9 @@ impl MetricsSnapshot {
                 }
                 other => return Err(bad(&format!("unknown metric type `{other}`"))),
             };
-            entries.insert(name.clone(), value);
+            if entries.insert(name.clone(), value).is_some() {
+                return Err(bad(&format!("duplicate metric name `{name}`")));
+            }
         }
         Ok(MetricsSnapshot { entries })
     }
@@ -434,6 +447,36 @@ mod tests {
         assert_eq!(e2e.mean, 2000.0);
     }
 
+    /// The exact bytes of the `shrimp.metrics.v1` writer, pinned: every
+    /// determinism test compares `to_json` output, so a change here is a
+    /// change to every published metrics file.
+    #[test]
+    fn snapshot_json_bytes_are_pinned() {
+        let mut reg = MetricsRegistry::new();
+        reg.set_counter("c.max", u64::MAX);
+        reg.set_gauge("g.finite", 0.1);
+        reg.set_gauge("g.nan", f64::NAN);
+        reg.set_histogram("h.empty", &Histogram::new());
+        let mut h = Histogram::new();
+        for v in [3u64, 7, 1000] {
+            h.record(v);
+        }
+        reg.set_histogram("h.full", &h);
+        reg.set_counter("name \"quoted\"\\\n\u{1}é", 2);
+        let want = concat!(
+            r#"{"schema":"shrimp.metrics.v1","entries":{"#,
+            r#""c.max":{"type":"counter","value":18446744073709551615},"#,
+            r#""g.finite":{"type":"gauge","value":0.1},"#,
+            r#""g.nan":{"type":"gauge","value":null},"#,
+            r#""h.empty":{"type":"histogram","count":0,"min":0,"max":0,"mean":0.0,"#,
+            r#""p50":0,"p95":0,"p99":0},"#,
+            r#""h.full":{"type":"histogram","count":3,"min":3,"max":1000,"#,
+            r#""mean":336.6666666666667,"p50":8,"p95":1024,"p99":1024},"#,
+            r#""name \"quoted\"\\\n\u0001é":{"type":"counter","value":2}}}"#,
+        );
+        assert_eq!(reg.snapshot().to_json(), want);
+    }
+
     #[test]
     fn snapshot_percentiles_match_known_distribution() {
         // 1000 samples 1..=1000: the power-of-two upper bounds are
@@ -460,6 +503,16 @@ mod tests {
             "{\"schema\":\"shrimp.metrics.v1\",\"entries\":{\"x\":{\"type\":\"nope\"}}}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn parse_rejects_duplicate_metric_names() {
+        let twice = "{\"schema\":\"shrimp.metrics.v1\",\"entries\":{\
+                     \"c\":{\"type\":\"counter\",\"value\":1},\
+                     \"c\":{\"type\":\"counter\",\"value\":2}}}";
+        let err = MetricsSnapshot::parse_json(twice).unwrap_err();
+        assert!(err.message.contains("duplicate metric name `c`"), "{err}");
+        assert!(validate_metrics_json(twice).is_err());
     }
 
     #[test]

@@ -1,8 +1,46 @@
 //! Property-based tests of the simulation kernel.
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 
-use shrimp_sim::{BandwidthResource, EventQueue, Histogram, SerialResource, SimDuration, SimTime};
+use shrimp_sim::json::Value;
+use shrimp_sim::{
+    validate_metrics_json, BandwidthResource, EventQueue, Histogram, MetricsRegistry,
+    MetricsSnapshot, SerialResource, SimDuration, SimTime,
+};
+
+/// The tokens that steer the JSON parser's state machine.
+const JSON_TOKENS: [&str; 22] = [
+    "[", "]", "{", "}", "\"", "\\", "u", ":", ",", "0", "1", "2", "3", "4", "5", "6", "7", "8",
+    "9", "e", "-", ".",
+];
+
+/// Characters metric names are drawn from: plain, escaped and multi-byte.
+const NAME_CHARS: [char; 10] = ['a', 'z', '.', '_', '"', '\\', '\n', '\u{1}', 'é', '✓'];
+
+/// A registry built from generated `(name, kind, value, samples)` tuples.
+fn registry(entries: &[(Vec<usize>, u8, u64, Vec<u64>)]) -> MetricsRegistry {
+    let mut reg = MetricsRegistry::new();
+    for (name, kind, value, samples) in entries {
+        let name: String = name.iter().map(|&i| NAME_CHARS[i]).collect();
+        match kind {
+            0 => reg.set_counter(name, *value),
+            1 => {
+                let g = f64::from_bits(*value);
+                reg.set_gauge(name, if g.is_finite() { g } else { 0.0 });
+            }
+            _ => {
+                let mut h = Histogram::new();
+                for &s in samples {
+                    h.record(s);
+                }
+                reg.set_histogram(name, &h);
+            }
+        }
+    }
+    reg
+}
 
 proptest! {
     /// A serialized resource never double-books: grants are disjoint,
@@ -124,4 +162,78 @@ proptest! {
             prop_assert!(bound >= sorted[idx], "q={q}: bound {bound} < {}", sorted[idx]);
         }
     }
+
+    /// The JSON parser and the metrics lint return `Ok` or `Err` and
+    /// never panic, on arbitrary bytes, on token soup and on a valid
+    /// metrics document with one byte replaced.
+    #[test]
+    fn json_parsing_is_total(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        soup in prop::collection::vec(0usize..JSON_TOKENS.len(), 0..200),
+        (at, byte) in (any::<prop::sample::Index>(), any::<u8>()),
+    ) {
+        let soup: String = soup.iter().map(|&i| JSON_TOKENS[i]).collect();
+        let entries = [(vec![0, 4, 8], 2u8, 0, vec![1, 9, 300]), (vec![1], 1, 7, vec![])];
+        let mut mutated = registry(&entries).snapshot().to_json().into_bytes();
+        let i = at.index(mutated.len());
+        mutated[i] = byte;
+        for text in [String::from_utf8_lossy(&bytes), soup.into(), String::from_utf8_lossy(&mutated)] {
+            let _ = Value::parse(&text);
+            let _ = validate_metrics_json(&text);
+        }
+    }
+
+    /// Any snapshot survives `to_json` → `parse_json` unchanged, writes
+    /// the same bytes the second time, and passes the lint.
+    #[test]
+    fn metrics_json_round_trips(
+        entries in prop::collection::vec(
+            (
+                prop::collection::vec(0usize..NAME_CHARS.len(), 0..8),
+                0u8..3,
+                any::<u64>(),
+                prop::collection::vec(0u64..1 << 40, 0..16),
+            ),
+            0..24,
+        ),
+    ) {
+        let snap = registry(&entries).snapshot();
+        let text = snap.to_json();
+        let parsed = MetricsSnapshot::parse_json(&text);
+        prop_assert!(parsed.is_ok(), "{:?} on {text}", parsed.err());
+        let parsed = parsed.unwrap();
+        prop_assert_eq!(&parsed, &snap);
+        prop_assert_eq!(parsed.to_json(), text);
+        prop_assert_eq!(validate_metrics_json(&text), Ok(snap.len()));
+    }
+}
+
+/// A 100k-entry snapshot is written and linted in well under the bound;
+/// a parser that rescans the rest of the document for every character
+/// needs hours for a document this size.
+#[test]
+fn hundred_thousand_entry_export_is_linear() {
+    let mut reg = MetricsRegistry::new();
+    let mut h = Histogram::new();
+    for v in [941u64, 1024, 1532] {
+        h.record(v);
+    }
+    for i in 0..100_000u64 {
+        match i % 3 {
+            0 => reg.set_counter(format!("node{i}.nic.packets_sent"), i),
+            1 => reg.set_gauge(format!("mesh.link.{i}-{}.util", i + 1), i as f64 / 7.0),
+            _ => reg.set_histogram(format!("node{i}.latency.e2e"), &h),
+        }
+    }
+    let snap = reg.snapshot();
+    let t = Instant::now();
+    let text = snap.to_json();
+    let linted = validate_metrics_json(&text);
+    let elapsed = t.elapsed();
+    assert_eq!(linted, Ok(100_000));
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "to_json + lint of {} bytes took {elapsed:?}",
+        text.len()
+    );
 }
